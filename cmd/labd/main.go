@@ -83,7 +83,12 @@ func main() {
 	}
 	srv.Start()
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	done := make(chan error, 1)
 	go func() { done <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "labd: listening on %s, store %s, %d job worker(s) × %d-way runs\n",
@@ -108,6 +113,13 @@ func main() {
 	srv.Drain()
 	fmt.Fprintln(os.Stderr, "labd: drained; unfinished jobs are resumable from the store")
 }
+
+// Connection bounds for the control API. There is no write timeout:
+// the SSE event stream of a job stays open as long as the job runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "labd:", err)

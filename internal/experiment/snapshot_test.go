@@ -179,12 +179,11 @@ func TestSnapshotForkDivergence(t *testing.T) {
 }
 
 // TestSnapshotMidBatchRoundTripAndFork captures the experiment while
-// the kernel is halfway through a same-timestamp event batch — the
-// state the batched drain introduced — and checks both continuation
-// fidelity and forking. Four test events share one instant; the kernel
-// stops after the second, so the snapshot's KernelState carries a
-// clock pinned to the batch timestamp and sequence numbers already
-// consumed by the unexecuted half.
+// the kernel is halfway through a batch of same-timestamp events and
+// checks both continuation fidelity and forking. Four test events
+// share one instant; the kernel stops after the second, so the
+// snapshot's KernelState carries a clock pinned to that instant and
+// sequence numbers already consumed by the unexecuted half.
 func TestSnapshotMidBatchRoundTripAndFork(t *testing.T) {
 	cfg := Config{Seed: 7, Graph: mustGraph(topology.Clique(5)), Timers: jitterTimers()}
 	e1 := warmedUp(t, cfg)

@@ -136,10 +136,9 @@ type Trial struct {
 	LinkLoss float64
 	// Damping enables RFC 2439 route-flap damping on legacy routers.
 	Damping *bgp.DampingConfig
-	// Tuning selects hot-path execution strategies (RIB sharding,
-	// kernel batching, timer wheel). Execution-only: every setting
-	// yields byte-identical results, so it is excluded from spec
-	// canonicalization and artifact cache keys.
+	// Tuning carries no settings (see experiment.Tuning); it stays so
+	// callers that forward a Trial's Tuning into an experiment.Config
+	// keep compiling, and it never reaches a cache or warm-up key.
 	Tuning experiment.Tuning
 	// FlapCycles is the number of withdraw/announce cycles of the Flap
 	// event (default 6).

@@ -3,6 +3,7 @@ package labd
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -55,6 +56,11 @@ type SubmitResponse struct {
 	Coalesced bool `json:"coalesced"`
 }
 
+// MaxSubmitBytes bounds a POST /v1/jobs body. A canonical sweep spec
+// is a few kilobytes; a larger body is refused with 413 before any of
+// it is decoded into a job.
+const MaxSubmitBytes = 1 << 20
+
 // errorResponse is the uniform error body.
 type errorResponse struct {
 	Error string `json:"error"`
@@ -92,11 +98,16 @@ func (s *Server) Handler() http.Handler {
 
 // handleSubmit accepts a spec or preset submission.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSubmitBytes))
 	dec.DisallowUnknownFields()
 	var req SubmitRequest
 	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("labd: bad submit body: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, fmt.Errorf("labd: bad submit body: %w", err))
 		return
 	}
 	var spec []byte

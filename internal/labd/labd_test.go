@@ -398,6 +398,21 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOversizedBody pins the submit body bound: a body
+// over MaxSubmitBytes is refused with 413 and creates no job.
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	srv, _ := newTestServer(t)
+	url, shutdown := serve(t, srv)
+	defer shutdown()
+	req := SubmitRequest{Client: "x", Preset: "fig2", Name: strings.Repeat("n", MaxSubmitBytes)}
+	if _, code := postJSON(t, url, req); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: code %d, want 413", code)
+	}
+	if jobs := srv.Jobs(); len(jobs) != 0 {
+		t.Fatalf("oversized body created %d job(s)", len(jobs))
+	}
+}
+
 // TestDrainInterruptsQueued pins shutdown bookkeeping: a job still
 // queued at Drain is marked interrupted (with the store untouched),
 // and a later daemon over the same store re-runs it on resubmission.

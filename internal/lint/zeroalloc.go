@@ -28,12 +28,11 @@ import (
 // "Type.method" (pointer receivers without the star).
 var HotFunctions = map[string][]string{
 	"repro/internal/bgp/rib": {
-		// The per-UPDATE decision path and its candidate index
-		// (per-shard since the table was sharded by prefix hash).
+		// The per-UPDATE decision path and its candidate index.
 		"Table.decide", "Table.setBest", "Table.SetAdjIn", "Table.WithdrawAdjIn",
-		"tableShard.indexCand", "tableShard.unindexCand", "searchCands", "Better",
-		// The shard router and the longest-prefix-match lookup.
-		"Table.shardOf", "Table.Lookup",
+		"Table.indexCand", "Table.unindexCand", "searchCands", "Better",
+		// The longest-prefix-match data-plane lookup.
+		"Table.Lookup",
 	},
 	"repro/internal/bgp": {
 		// The export hot path: AS-path prepends served from the
@@ -46,14 +45,10 @@ var HotFunctions = map[string][]string{
 		"appendUpdate", "appendPrefixes", "appendAttrHeader", "appendAttrs",
 	},
 	"repro/internal/sim": {
-		// Timer re-arm: re-keyed in place (heap.Fix or wheel slot),
-		// no per-reset event.
+		// Timer re-arm: heap.Fix in place, no per-reset event.
 		"simTimer.Reset", "simTimer.Stop",
-		// The timer wheel and the batched drain: scheduling, slot
-		// insert/flush and batch refill all run per event.
-		"Kernel.schedule", "timerWheel.insert", "Kernel.flushSlot",
-		"Kernel.wheelRelease", "Kernel.nextEvent", "Kernel.refill",
-		"Kernel.peekQueue",
+		// The per-event scheduling and drain path.
+		"Kernel.deadline", "Kernel.schedule", "Kernel.nextEvent", "Kernel.peekQueue",
 	},
 	"repro/internal/netem": {
 		// The per-message send path, loss model included.
@@ -313,9 +308,8 @@ func funcKey(fd *ast.FuncDecl) string {
 // the alloc-sensitive microbenchmarks over the manifest's hot paths.
 var BenchAllocBaseline = []string{
 	"WireMarshalUpdate", "WireUnmarshalUpdate",
-	"RIBDecision", "RIBDecisionSharded", "RIBLookup",
-	"TimerReset", "TimerWheel", "KernelBatchDrain",
-	"FlowTableLookup", "OFPFlowModRoundTrip",
+	"RIBDecision", "RIBLookup",
+	"TimerReset", "FlowTableLookup", "OFPFlowModRoundTrip",
 	"SingleRun",
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -18,43 +19,19 @@ var Epoch = time.Date(2014, 8, 18, 0, 0, 0, 0, time.UTC)
 // run in the order they were scheduled. The zero Kernel is not usable;
 // call NewKernel.
 //
-// Internally the kernel keeps three structures, none of which changes
-// the executed (time, seq) order: a binary heap for short-range events,
-// a hierarchical timer wheel (wheel.go) that stages long-delay timers
-// in O(1) until their slot is released into the heap, and a drain batch
-// that pops all events sharing the earliest timestamp in one pass so
-// same-instant bursts (a router fanning UPDATEs to its peers) cost one
-// heap sift each instead of a full pop/push cycle. Both optimizations
-// are pinned byte-identical against the serial heap-only mode by the
-// equivalence tests in wheel_test.go and the hot-path suite.
+// Pending events live in one binary heap keyed by (time, seq); the
+// kernel pops and executes them one at a time. Stopped events are
+// cancelled lazily and discarded when they reach the top. Times are
+// kept as durations since Epoch so heap comparisons are plain integer
+// compares.
 type Kernel struct {
-	now   time.Time
-	seq   uint64
-	queue eventHeap
-	wheel timerWheel
-
-	// batch holds the run of same-timestamp events most recently popped
-	// from the heap; batchPos is the next entry to execute. Entries
-	// whose event was stopped or rescheduled by an earlier event in the
-	// batch are detected by sequence mismatch and skipped.
-	batch    []batchEntry
-	batchPos int
-
+	now    time.Duration // virtual time elapsed since Epoch
+	seq    uint64
+	queue  eventHeap
 	rng    *rand.Rand
 	src    *CountingSource
 	seed   int64
 	events uint64 // total events executed
-
-	// SerialDrain disables same-timestamp batch draining: every event
-	// is popped from the heap individually. This is the reference mode
-	// the batch-equivalence tests compare against; results are
-	// byte-identical either way.
-	SerialDrain bool
-
-	// NoWheel files every timer in the heap, bypassing the timer wheel.
-	// This is the reference mode for the wheel property tests; results
-	// are byte-identical either way.
-	NoWheel bool
 
 	// MaxEvents aborts Run with ErrEventBudget once this many events
 	// have executed, guarding against livelock (e.g. mutually
@@ -106,7 +83,6 @@ func (k *Kernel) overBudget() error {
 func NewKernel(seed int64) *Kernel {
 	src := NewCountingSource(seed)
 	return &Kernel{
-		now:  Epoch,
 		rng:  rand.New(src),
 		src:  src,
 		seed: seed,
@@ -114,7 +90,7 @@ func NewKernel(seed int64) *Kernel {
 }
 
 // Now returns the current virtual time.
-func (k *Kernel) Now() time.Time { return k.now }
+func (k *Kernel) Now() time.Time { return Epoch.Add(k.now) }
 
 // Rand returns the kernel's deterministic random source. All randomness
 // in an experiment (jitter, loss, tie-breaks) must come from here so a
@@ -122,18 +98,15 @@ func (k *Kernel) Now() time.Time { return k.now }
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // Elapsed returns how much virtual time has passed since Epoch.
-func (k *Kernel) Elapsed() time.Duration { return k.now.Sub(Epoch) }
+func (k *Kernel) Elapsed() time.Duration { return k.now }
 
 // Events returns the number of events executed so far.
 func (k *Kernel) Events() uint64 { return k.events }
 
-// Pending returns the number of scheduled, not-yet-fired events across
-// the heap, the timer wheel and the current drain batch. Like the
-// heap's lazy cancellation, events stopped but not yet discarded are
-// still counted.
-func (k *Kernel) Pending() int {
-	return k.queue.Len() + k.wheel.count + (len(k.batch) - k.batchPos)
-}
+// Pending returns the number of scheduled, not-yet-fired events.
+// Because cancellation is lazy, events stopped but not yet discarded
+// are still counted.
+func (k *Kernel) Pending() int { return k.queue.Len() }
 
 // Go schedules fn as a zero-delay event.
 func (k *Kernel) Go(fn func()) { k.AfterFunc(0, fn) }
@@ -143,141 +116,53 @@ func (k *Kernel) AfterFunc(d time.Duration, fn func()) Timer {
 	if fn == nil {
 		panic("sim: AfterFunc with nil function")
 	}
-	if d < 0 {
-		d = 0
-	}
-	ev := &event{at: k.now.Add(d), kernel: k, index: -1}
+	ev := &event{at: k.deadline(d), kernel: k}
 	ev.fn = func() { ev.fired = true; fn() }
-	k.schedule(ev, d)
+	k.schedule(ev)
 	return &simTimer{k: k, ev: ev, fn: fn}
 }
 
-// schedule assigns the next scheduling sequence number and files the
-// event: long delays go through the timer wheel, near ones into the
-// heap. The sequence counter advances identically on both paths, so
-// the executed (time, seq) trace does not depend on which structure
-// held the event.
-func (k *Kernel) schedule(ev *event, d time.Duration) {
+// deadline returns the virtual time d from now, treating negative d as
+// 0 and saturating instead of overflowing.
+func (k *Kernel) deadline(d time.Duration) time.Duration {
+	if d < 0 {
+		d = 0
+	}
+	if d > math.MaxInt64-k.now {
+		return math.MaxInt64
+	}
+	return k.now + d
+}
+
+// schedule assigns the next scheduling sequence number and pushes the
+// event onto the heap.
+func (k *Kernel) schedule(ev *event) {
 	k.seq++
 	ev.seq = k.seq
-	if !k.NoWheel && d >= wheelMinDelay && k.wheel.insert(ev) {
-		ev.index = -1
-		return
-	}
-	if ev.walive {
-		// A previous revision of this event still sits in the wheel;
-		// that entry is now stale and pre-deducted from the count.
-		k.wheel.count--
-		ev.walive = false
-	}
 	heap.Push(&k.queue, ev)
 }
 
-// batchEntry pins one event revision in the drain batch.
-type batchEntry struct {
-	ev  *event
-	seq uint64
-}
-
-// nextEvent returns the earliest live pending event, consuming it from
-// the drain batch (refilled from the heap and wheel as it empties), or
-// nil when the kernel is quiescent.
+// nextEvent pops the earliest live pending event, or returns nil when
+// the kernel is quiescent.
 func (k *Kernel) nextEvent() *event {
-	for {
-		for k.batchPos < len(k.batch) {
-			e := k.batch[k.batchPos]
-			k.batch[k.batchPos] = batchEntry{}
-			k.batchPos++
-			if e.ev.cancelled || e.ev.seq != e.seq {
-				// Stopped or rescheduled by an earlier event in the
-				// batch.
-				continue
-			}
-			return e.ev
-		}
-		if len(k.batch) > 0 {
-			k.batch = k.batch[:0]
-			k.batchPos = 0
-		}
-		if !k.refill() {
-			return nil
-		}
+	ev := k.peekQueue()
+	if ev != nil {
+		heap.Pop(&k.queue)
 	}
+	return ev
 }
 
-// refill pops the run of events sharing the earliest pending timestamp
-// from the heap into the drain batch (a single event in SerialDrain
-// mode). It reports whether anything is pending.
-func (k *Kernel) refill() bool {
-	ev := k.peekQueue()
-	if ev == nil {
-		return false
-	}
-	heap.Pop(&k.queue)
-	k.batch = append(k.batch, batchEntry{ev, ev.seq})
-	if k.SerialDrain {
-		return true
-	}
-	at := ev.at
+// peekQueue returns the earliest live pending event without popping
+// it, first discarding cancelled events from the top of the heap, or
+// nil when the kernel is quiescent.
+func (k *Kernel) peekQueue() *event {
 	for k.queue.Len() > 0 {
-		top := k.queue[0]
-		if top.cancelled {
-			heap.Pop(&k.queue)
-			continue
-		}
-		if !top.at.Equal(at) {
-			break
+		if ev := k.queue[0]; !ev.cancelled {
+			return ev
 		}
 		heap.Pop(&k.queue)
-		k.batch = append(k.batch, batchEntry{top, top.seq})
 	}
-	return true
-}
-
-// peekNext returns the earliest live pending event without consuming
-// it, or nil when the kernel is quiescent.
-func (k *Kernel) peekNext() *event {
-	for k.batchPos < len(k.batch) {
-		e := k.batch[k.batchPos]
-		if !e.ev.cancelled && e.ev.seq == e.seq {
-			return e.ev
-		}
-		k.batch[k.batchPos] = batchEntry{}
-		k.batchPos++
-	}
-	return k.peekQueue()
-}
-
-// peekQueue returns the earliest live event in the heap without
-// popping it, first syncing the timer wheel: any wheel slot that could
-// hold an entry due at or before the heap head is released into the
-// heap, so the returned event is globally earliest by (time, seq).
-func (k *Kernel) peekQueue() *event {
-	for {
-		var top *event
-		for k.queue.Len() > 0 {
-			if k.queue[0].cancelled {
-				heap.Pop(&k.queue)
-				continue
-			}
-			top = k.queue[0]
-			break
-		}
-		if k.wheel.count == 0 {
-			return top
-		}
-		if top != nil {
-			if k.wheelRelease(tickOf(top.at)) == 0 {
-				return top
-			}
-			continue // the release may have surfaced an earlier event
-		}
-		start, ok := k.wheel.next()
-		if !ok {
-			return nil
-		}
-		k.wheelRelease(start)
-	}
+	return nil
 }
 
 // Step executes the single earliest pending event, advancing the clock
@@ -287,7 +172,7 @@ func (k *Kernel) Step() bool {
 	if ev == nil {
 		return false
 	}
-	if ev.at.After(k.now) {
+	if ev.at > k.now {
 		k.now = ev.at
 	}
 	k.events++
@@ -309,9 +194,10 @@ func (k *Kernel) Run() error {
 // RunUntil executes events with timestamps <= t, then advances the clock
 // to t. Events scheduled beyond t remain pending.
 func (k *Kernel) RunUntil(t time.Time) error {
+	until := t.Sub(Epoch)
 	for {
-		ev := k.peekNext()
-		if ev == nil || ev.at.After(t) {
+		ev := k.peekQueue()
+		if ev == nil || ev.at > until {
 			break
 		}
 		k.Step()
@@ -319,14 +205,14 @@ func (k *Kernel) RunUntil(t time.Time) error {
 			return err
 		}
 	}
-	if t.After(k.now) {
-		k.now = t
+	if until > k.now {
+		k.now = until
 	}
 	return nil
 }
 
 // RunFor executes events for the next d of virtual time.
-func (k *Kernel) RunFor(d time.Duration) error { return k.RunUntil(k.now.Add(d)) }
+func (k *Kernel) RunFor(d time.Duration) error { return k.RunUntil(k.Now().Add(d)) }
 
 // RunWhile executes events as long as cond returns true and events
 // remain. It evaluates cond after every event.
@@ -343,24 +229,16 @@ func (k *Kernel) RunWhile(cond func() bool) error {
 }
 
 // event is a scheduled callback. index is the event's position in the
-// kernel's heap (-1 once popped or while wheel-resident), which lets
-// timers reschedule an event in place instead of allocating a
-// replacement per Reset. The w* fields locate the event's current
-// revision in the timer wheel while walive is set, enabling the same
-// in-place re-key for wheel-resident timers.
+// kernel's heap (-1 once popped), which lets timers reschedule an
+// event in place instead of allocating a replacement per Reset.
 type event struct {
-	at        time.Time
+	at        time.Duration // deadline, since Epoch
 	seq       uint64
 	fn        func()
 	cancelled bool
 	fired     bool
 	kernel    *Kernel
 	index     int
-
-	walive bool
-	wlevel uint8
-	wslot  uint8
-	windex int32
 }
 
 // simTimer implements Timer over a kernel event.
@@ -380,25 +258,22 @@ func (t *simTimer) Stop() bool {
 
 // Reset reschedules the timer, reusing its event: if the event is
 // still in the heap (pending or lazily cancelled) it is re-keyed in
-// place with heap.Fix; if it is wheel-resident and stays in the same
-// slot it is re-keyed there; otherwise the same struct is reset and
-// filed again. Either way the MRAI-churn path allocates nothing, and
-// the sequence counter advances exactly once per Reset on every path.
+// place with heap.Fix; if it already fired or was popped, the same
+// struct is reset and pushed again. Either way the MRAI-churn path
+// allocates nothing, and the sequence counter advances exactly once
+// per Reset.
 func (t *simTimer) Reset(d time.Duration) bool {
 	ev := t.ev
 	was := ev != nil && !ev.cancelled && !ev.fired
-	if d < 0 {
-		d = 0
-	}
 	ev.cancelled = false
 	ev.fired = false
-	ev.at = t.k.now.Add(d)
+	ev.at = t.k.deadline(d)
 	if ev.index >= 0 {
 		t.k.seq++
 		ev.seq = t.k.seq
 		heap.Fix(&t.k.queue, ev.index)
 	} else {
-		t.k.schedule(ev, d)
+		t.k.schedule(ev)
 	}
 	return was
 }
@@ -413,8 +288,8 @@ type eventHeap []*event
 func (h eventHeap) Len() int { return len(h) }
 
 func (h eventHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -313,28 +314,101 @@ func TestPropertyStopPreventsFiring(t *testing.T) {
 	}
 }
 
-func TestWallClock(t *testing.T) {
-	var c Clock = WallClock{}
-	if d := time.Since(c.Now()); d > time.Minute || d < -time.Minute {
-		t.Fatalf("WallClock.Now far from time.Now: %v", d)
+// Same-instant events scheduled while an instant is executing must run
+// after the events already due at it — the heap-pop order (time, seq)
+// — and events stopped or rescheduled by an earlier event of the same
+// instant must not fire at their superseded deadline.
+func TestSameInstantStopAndReset(t *testing.T) {
+	k := NewKernel(1)
+	var got []int
+	var victim, moved Timer
+	k.AfterFunc(time.Second, func() {
+		got = append(got, 0)
+		victim.Stop()
+		moved.Reset(time.Second)                        // re-keys to t=2s
+		k.AfterFunc(0, func() { got = append(got, 9) }) // joins this instant, after peers
+	})
+	victim = k.AfterFunc(time.Second, func() { got = append(got, 1) })
+	moved = k.AfterFunc(time.Second, func() { got = append(got, 2) })
+	k.AfterFunc(time.Second, func() { got = append(got, 3) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	tm := c.AfterFunc(time.Millisecond, func() { close(done) })
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("WallClock timer did not fire")
+	want := []int{0, 3, 9, 2}
+	if len(got) != len(want) {
+		t.Fatalf("trace = %v, want %v", got, want)
 	}
-	if tm.Stop() {
-		t.Fatal("Stop after fire = true")
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("trace = %v, want %v", got, want)
+		}
 	}
-	// Go runs the function.
-	ran := make(chan struct{})
-	c.Go(func() { close(ran) })
-	select {
-	case <-ran:
-	case <-time.After(5 * time.Second):
-		t.Fatal("WallClock.Go did not run")
+}
+
+// A snapshot taken mid-instant — via RunWhile stopping partway through
+// a same-instant burst — must still see every unexecuted event as
+// Active with its original (deadline, seq), so component snapshots
+// capture it.
+func TestMidInstantTimerStateAndPending(t *testing.T) {
+	k := NewKernel(1)
+	ran := 0
+	var timers []Timer
+	for i := 0; i < 6; i++ {
+		timers = append(timers, k.AfterFunc(time.Second, func() { ran++ }))
+	}
+	if err := k.RunWhile(func() bool { return ran < 3 }); err != nil {
+		t.Fatal(err)
+	}
+	if ran != 3 {
+		t.Fatalf("ran = %d, want 3", ran)
+	}
+	if got := k.Pending(); got != 3 {
+		t.Fatalf("Pending() mid-instant = %d, want 3", got)
+	}
+	for i, tm := range timers {
+		at, seq, ok := TimerState(tm)
+		if i < 3 {
+			if ok {
+				t.Fatalf("timer %d: executed but still snapshot-visible", i)
+			}
+			continue
+		}
+		if !ok {
+			t.Fatalf("timer %d: unexecuted same-instant event invisible to snapshot", i)
+		}
+		if want := Epoch.Add(time.Second); !at.Equal(want) {
+			t.Fatalf("timer %d: at = %v, want %v", i, at, want)
+		}
+		if seq != uint64(i+1) {
+			t.Fatalf("timer %d: seq = %d, want %d", i, seq, i+1)
+		}
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ran != 6 {
+		t.Fatalf("ran = %d after drain, want 6", ran)
+	}
+}
+
+// A delay too long to represent from the current instant saturates at
+// the end of virtual time instead of wrapping into the past.
+func TestHugeDelaySaturates(t *testing.T) {
+	k := NewKernel(1)
+	if err := k.RunFor(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	fired := false
+	tm := k.AfterFunc(math.MaxInt64, func() { fired = true })
+	if err := k.RunFor(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if fired {
+		t.Fatal("a maximal delay fired within an hour")
+	}
+	at, _, ok := TimerState(tm)
+	if want := Epoch.Add(math.MaxInt64); !ok || !at.Equal(want) {
+		t.Fatalf("TimerState = %v/%v, want %v", at, ok, want)
 	}
 }
 

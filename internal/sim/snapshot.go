@@ -114,7 +114,7 @@ type KernelState struct {
 // State captures the kernel's execution state for a snapshot.
 func (k *Kernel) State() KernelState {
 	return KernelState{
-		NowNS:  k.now.Sub(Epoch).Nanoseconds(),
+		NowNS:  k.now.Nanoseconds(),
 		Seq:    k.seq,
 		Events: k.events,
 		Seed:   k.seed,
@@ -135,7 +135,7 @@ func (k *Kernel) Seed() int64 { return k.seed }
 // re-derived from the new seed at the same position, so fork runs
 // diverge exactly where randomness enters and nowhere else.
 func (k *Kernel) BeginRestore(st KernelState, seed int64) {
-	k.now = Epoch.Add(time.Duration(st.NowNS))
+	k.now = time.Duration(st.NowNS)
 	k.seed = seed
 	k.src.Seed(seed)
 	k.src.FastForward(st.Draws)
@@ -164,7 +164,7 @@ func TimerState(t Timer) (at time.Time, seq uint64, ok bool) {
 	if !isSim || st == nil || !st.Active() {
 		return time.Time{}, 0, false
 	}
-	return st.ev.at, st.ev.seq, true
+	return Epoch.Add(st.ev.at), st.ev.seq, true
 }
 
 // TimerRef is the serialized identity of one pending timer: its
