@@ -192,8 +192,6 @@ type Router struct {
 	busyUntil time.Time
 	// damping is nil unless Config.Damping is set.
 	damping *damping
-	// arena interns exported AS paths (see attrArena).
-	arena attrArena
 }
 
 // New validates cfg and returns a Router.
@@ -390,13 +388,10 @@ func (r *Router) learnedFromNeighbor(rt *rib.Route) policy.Neighbor {
 // exportAttrs builds the eBGP attributes for advertising rt to p:
 // prepend the local ASN, set NEXT_HOP to the session address, strip
 // LOCAL_PREF (eBGP), and strip MED on re-advertisement of learned
-// routes. The prepended path comes from the router's attr arena, so
-// the steady-state export path shares one interned copy per distinct
-// source path instead of allocating per advertisement; the export
-// side treats attribute sets as immutable (see Policy).
+// routes.
 func (r *Router) exportAttrs(p *Peer, rt *rib.Route) wire.PathAttrs {
 	attrs := rt.Attrs
-	attrs.ASPath = r.arena.prepend(attrs.ASPath, r.cfg.ASN)
+	attrs.ASPath = attrs.ASPath.Prepend(r.cfg.ASN)
 	attrs.NextHop = p.cfg.NextHop
 	attrs.LocalPref = nil
 	if !rt.Local {

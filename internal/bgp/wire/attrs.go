@@ -111,14 +111,33 @@ func (p ASPath) Contains(asn idr.ASN) bool {
 }
 
 // Prepend returns a new path with asn prepended, merging into a
-// leading AS_SEQUENCE when one exists (creating it otherwise).
+// leading AS_SEQUENCE when one exists (creating it otherwise). The
+// result shares nothing with p; its segments slice one ASN array
+// between them, each capped so an append to one cannot reach the next.
 func (p ASPath) Prepend(asn idr.ASN) ASPath {
-	out := p.Clone()
-	if len(out) > 0 && out[0].Type == ASSequence {
-		out[0].ASNs = append([]idr.ASN{asn}, out[0].ASNs...)
-		return out
+	rest := p
+	n, segs := 1, len(p)+1
+	for _, s := range p {
+		n += len(s.ASNs)
 	}
-	return append(ASPath{{Type: ASSequence, ASNs: []idr.ASN{asn}}}, out...)
+	buf := make([]idr.ASN, 0, n)
+	buf = append(buf, asn)
+	if len(p) > 0 && p[0].Type == ASSequence {
+		buf = append(buf, p[0].ASNs...)
+		rest, segs = p[1:], len(p)
+	}
+	out := make(ASPath, 1, segs)
+	out[0] = Segment{Type: ASSequence, ASNs: buf[:len(buf):len(buf)]}
+	for _, s := range rest {
+		seg := Segment{Type: s.Type}
+		if len(s.ASNs) > 0 {
+			start := len(buf)
+			buf = append(buf, s.ASNs...)
+			seg.ASNs = buf[start:len(buf):len(buf)]
+		}
+		out = append(out, seg)
+	}
+	return out
 }
 
 // First returns the leftmost AS on the path (the neighbor that sent

@@ -411,6 +411,49 @@ func TestPropertyUnmarshalNoPanic(t *testing.T) {
 	}
 }
 
+// TestASPathPrependShares pins Prepend against Clone-then-prepend on
+// mixed-segment paths, and that the result shares no memory with its
+// source or between its own segments.
+func TestASPathPrependShares(t *testing.T) {
+	for _, p := range []ASPath{
+		nil,
+		NewASPath(),
+		NewASPath(1, 2),
+		{{Type: ASSequence, ASNs: []idr.ASN{1}}, {Type: ASSet, ASNs: []idr.ASN{2, 3}}, {Type: ASSequence, ASNs: []idr.ASN{4}}},
+		{{Type: ASSet, ASNs: []idr.ASN{5, 6}}, {Type: ASSequence}},
+	} {
+		want := ASPath{{Type: ASSequence, ASNs: []idr.ASN{9}}}
+		if len(p) > 0 && p[0].Type == ASSequence {
+			want[0].ASNs = append(want[0].ASNs, p[0].ASNs...)
+			want = append(want, p[1:].Clone()...)
+		} else {
+			want = append(want, p.Clone()...)
+		}
+		got := p.Prepend(9)
+		if !got.Equal(want) {
+			t.Fatalf("%v.Prepend(9) = %v, want %v", p, got, want)
+		}
+		for i := range got {
+			got[i].ASNs = append(got[i].ASNs, 99)
+		}
+		if !got[:len(want)].Equal(appendEach(want, 99)) {
+			t.Fatalf("appending to one segment of %v.Prepend(9) reached another: %v", p, got)
+		}
+		if p.Contains(99) {
+			t.Fatalf("Prepend result aliases its source %v", p)
+		}
+	}
+}
+
+// appendEach returns a copy of p with asn appended to every segment.
+func appendEach(p ASPath, asn idr.ASN) ASPath {
+	out := p.Clone()
+	for i := range out {
+		out[i].ASNs = append(out[i].ASNs, asn)
+	}
+	return out
+}
+
 func TestASPathHelpers(t *testing.T) {
 	p := NewASPath(1, 2, 3)
 	if p.Length() != 3 || !p.Contains(2) || p.Contains(9) {

@@ -38,12 +38,14 @@ func (c *Controller) subClusters() map[idr.ASN]int {
 }
 
 // upMemberNeighbors lists the members adjacent to asn over up
-// intra-cluster links, sorted for determinism.
+// intra-cluster links, sorted for determinism. A port still flagged
+// intra-cluster toward an AS that has just left the cluster (mid
+// MigrateOut, before SetPortMembership re-flags it) leads nowhere.
 func (c *Controller) upMemberNeighbors(asn idr.ASN) []idr.ASN {
 	m := c.members[asn]
 	var out []idr.ASN
 	for _, pi := range m.ports {
-		if pi.isMember && pi.up {
+		if _, member := c.members[pi.neighbor]; pi.isMember && pi.up && member {
 			out = append(out, pi.neighbor)
 		}
 	}
@@ -88,18 +90,8 @@ func (c *Controller) candidatesFor(prefix netip.Prefix, comp map[idr.ASN]int) []
 	if len(routes) == 0 {
 		return nil
 	}
-	keys := make([]SessKey, 0, len(routes))
-	for k := range routes {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Border != keys[j].Border {
-			return keys[i].Border < keys[j].Border
-		}
-		return keys[i].Port < keys[j].Port
-	})
 	var out []candidate
-	for _, k := range keys {
+	for _, k := range sortedSessKeys(routes) {
 		attrs := routes[k]
 		if !c.sessions[k].established {
 			continue
@@ -344,17 +336,7 @@ func (c *Controller) pushFlows(prefix netip.Prefix, res routingResult) {
 // sequence, keeping the cluster transparent to the legacy world) or
 // withdraw.
 func (c *Controller) updateAnnouncements(prefix netip.Prefix, res routingResult) {
-	keys := make([]SessKey, 0, len(c.sessions))
-	for k := range c.sessions {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Border != keys[j].Border {
-			return keys[i].Border < keys[j].Border
-		}
-		return keys[i].Port < keys[j].Port
-	})
-	for _, k := range keys {
+	for _, k := range c.sessionKeys() {
 		es := c.sessions[k]
 		if !es.established {
 			continue

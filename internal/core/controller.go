@@ -371,9 +371,12 @@ func (c *Controller) Start() error {
 }
 
 // sessionKeys returns the external peering keys in sorted order.
-func (c *Controller) sessionKeys() []SessKey {
-	keys := make([]SessKey, 0, len(c.sessions))
-	for k := range c.sessions {
+func (c *Controller) sessionKeys() []SessKey { return sortedSessKeys(c.sessions) }
+
+// sortedSessKeys returns m's keys ordered by (Border, Port).
+func sortedSessKeys[V any](m map[SessKey]V) []SessKey {
+	keys := make([]SessKey, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {

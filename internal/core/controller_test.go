@@ -113,6 +113,22 @@ func TestSubClusters(t *testing.T) {
 	}
 }
 
+// TestSubClustersSkipRemovedMember pins the mid-migration state where a
+// member has left but its neighbors' ports still say intra-cluster:
+// synchronous recompute (Debounce < 0) walks the switch graph right
+// inside RemoveMember and must not follow those ports.
+func TestSubClustersSkipRemovedMember(t *testing.T) {
+	c, _, _ := testCluster(t)
+	c.cfg.Debounce = -1
+	if err := c.RemoveMember(12); err != nil {
+		t.Fatal(err)
+	}
+	comp := c.subClusters()
+	if _, ok := comp[12]; ok || comp[11] == comp[13] {
+		t.Fatalf("removed member 12 still joins the cluster: %v", comp)
+	}
+}
+
 func TestDijkstraExternalPrefix(t *testing.T) {
 	c, _, _ := testCluster(t)
 	// Route learned only at border 11 from AS 2 with path [2].

@@ -105,18 +105,8 @@ func (c *Controller) State() ControllerState {
 	sort.Slice(extPrefixes, func(i, j int) bool { return idr.PrefixLess(extPrefixes[i], extPrefixes[j]) })
 	for _, p := range extPrefixes {
 		bySess := c.extRoutes[p]
-		keys := make([]SessKey, 0, len(bySess))
-		for k := range bySess {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].Border != keys[j].Border {
-				return keys[i].Border < keys[j].Border
-			}
-			return keys[i].Port < keys[j].Port
-		})
 		e := ExtRouteEntry{Prefix: p}
-		for _, k := range keys {
+		for _, k := range sortedSessKeys(bySess) {
 			e.Routes = append(e.Routes, ExtRoute{Border: k.Border, Port: k.Port, Attrs: bySess[k]})
 		}
 		st.ExtRoutes = append(st.ExtRoutes, e)

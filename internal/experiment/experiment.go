@@ -148,9 +148,9 @@ type Experiment struct {
 	// topology link between them, so migration can rewire in place.
 	endpointOf map[[2]idr.ASN]*netem.Endpoint
 	// onLinkState is the mutable per-link state-change dispatch: each
-	// topology link subscribes once and forwards through this map, so
-	// migration can swap a link's protocol hook without leaking stale
-	// subscriptions to torn-down routers or switches.
+	// topology link subscribes once and forwards through this map, and
+	// wireLink (at build and on every migration) replaces the entry, so
+	// no subscription leaks to torn-down routers or switches.
 	onLinkState map[[2]idr.ASN]func(up bool)
 	// retiredSent/retiredRecv accumulate the UPDATE counters of
 	// routers torn down by migration, so UpdateTotals stays monotonic.

@@ -3,10 +3,8 @@ package experiment
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"time"
 
-	"repro/internal/addressing"
 	"repro/internal/bgp"
 	"repro/internal/bgp/rib"
 	"repro/internal/collector"
@@ -15,6 +13,7 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/netem"
 	"repro/internal/policy"
+	"repro/internal/sdn"
 	"repro/internal/topology"
 )
 
@@ -53,33 +52,143 @@ func (e *Experiment) buildLink(edge topology.Edge) error {
 	}
 	key := linkKey(a, b)
 	e.links[key] = link
-	ln, err := e.Plan.AddLink(a, b)
-	if err != nil {
+	if _, err := e.Plan.AddLink(a, b); err != nil {
 		return err
 	}
 	epA, epB := link.Endpoints()
 	e.endpointOf[[2]idr.ASN{a, b}] = epA
 	e.endpointOf[[2]idr.ASN{b, a}] = epB
 	// One state-change subscription per link, dispatched through the
-	// mutable onLinkState table so migration can swap the protocol
-	// hook without leaking subscriptions to torn-down devices.
+	// onLinkState table that wireLink rewrites on every migration.
 	link.OnStateChange(func(up bool) {
 		if h := e.onLinkState[key]; h != nil {
 			h(up)
 		}
 	})
+	return e.wireLink(a, b)
+}
 
-	memberA, memberB := e.members[a], e.members[b]
+// linkEnd is one AS's attachment to a topology link: a BGP session on
+// a legacy router (peer), or a data port on a member switch (sw, port).
+type linkEnd struct {
+	peer *bgp.Peer
+	sw   *sdn.Switch
+	port uint32
+}
+
+// setUp forwards a link transition to the end: a switch reports the
+// port status to the controller, a router bounces its session.
+func (x linkEnd) setUp(up bool) {
 	switch {
-	case !memberA && !memberB:
-		return e.wireRouterRouter(edge, epA, epB, ln)
-	case memberA && memberB:
-		return e.wireSwitchSwitch(edge, epA, epB)
-	case memberA && !memberB:
-		return e.wireSwitchRouter(a, b, epA, epB, ln)
+	case x.sw != nil:
+		_ = x.sw.NotifyPortState(x.port, up)
+	case up:
+		x.peer.TransportUp()
 	default:
-		return e.wireSwitchRouter(b, a, epB, epA, ln)
+		x.peer.TransportDown()
 	}
+}
+
+// linkHook is the one constructor of onLinkState entries. Its ends
+// hear a transition in the order given by hookOrder.
+func linkHook(ends [2]linkEnd) func(up bool) {
+	return func(up bool) {
+		ends[0].setUp(up)
+		ends[1].setUp(up)
+	}
+}
+
+// hookOrder puts a member end before a legacy end, and otherwise
+// self's end first.
+func hookOrder(self, nb linkEnd) [2]linkEnd {
+	if self.sw == nil && nb.sw != nil {
+		return [2]linkEnd{nb, self}
+	}
+	return [2]linkEnd{self, nb}
+}
+
+// wireLink wires the self-nb topology link for both ends' current
+// roles. nb's end goes first: at build time it is created, during a
+// migration the end nb already has is re-targeted at self's new role.
+// Then self's end is created, the link's state hook installed, and on
+// a running experiment the legacy sessions over a live link come up.
+func (e *Experiment) wireLink(self, nb idr.ASN) error {
+	nbEnd, err := e.wireEnd(nb, self)
+	if err != nil {
+		return err
+	}
+	selfEnd, err := e.wireEnd(self, nb)
+	if err != nil {
+		return err
+	}
+	key := linkKey(self, nb)
+	ends := hookOrder(selfEnd, nbEnd)
+	e.onLinkState[key] = linkHook(ends)
+	if e.started && e.links[key].Up() {
+		for _, x := range ends {
+			if x.peer != nil {
+				x.peer.TransportUp()
+			}
+		}
+	}
+	return nil
+}
+
+// wireEnd makes owner's end of the owner-remote link fit both ASes'
+// current roles; it is the one place that decides between a
+// router-router eBGP session, an intra-cluster switch-graph edge and
+// an external peering the controller's speaker terminates. A legacy
+// owner's end is a session toward remote: created, or reset when it
+// exists so it re-establishes with whatever now answers on the link.
+// A member owner's end is a switch port: created and registered, or
+// re-flagged when it exists; facing a legacy remote it also gets a
+// speaker peering.
+func (e *Experiment) wireEnd(owner, remote idr.ASN) (linkEnd, error) {
+	ep := e.endpointOf[[2]idr.ASN{owner, remote}]
+	ln, _ := e.Plan.Link(owner, remote)
+	addr, _ := ln.Addr(owner)
+	if !e.members[owner] {
+		if p, ok := e.Routers[owner].Peer(peerKeyTo(remote)); ok {
+			p.TransportDown()
+			return linkEnd{peer: p}, nil
+		}
+		p, err := e.addRouterPeer(owner, remote, ep, addr)
+		return linkEnd{peer: p}, err
+	}
+	sw, remoteMember := e.Switches[owner], e.members[remote]
+	port, ok := e.portOf[ep]
+	switch {
+	case !ok:
+		var err error
+		if port, err = sw.AddPort(ep.Send); err != nil {
+			return linkEnd{}, err
+		}
+		e.portOf[ep] = port
+		if err := e.Ctrl.RegisterPort(owner, port, remote, remoteMember); err != nil {
+			return linkEnd{}, err
+		}
+	case remoteMember:
+		if err := e.Ctrl.RemovePeering(owner, port); err != nil {
+			return linkEnd{}, err
+		}
+		if err := e.Ctrl.SetPortMembership(owner, port, true); err != nil {
+			return linkEnd{}, err
+		}
+	default:
+		if err := e.Ctrl.SetPortMembership(owner, port, false); err != nil {
+			return linkEnd{}, err
+		}
+	}
+	if !remoteMember {
+		id, err := e.Plan.RouterID(owner)
+		if err != nil {
+			return linkEnd{}, err
+		}
+		if err := e.Ctrl.AddExternalPeering(owner, port, remote, id, addr); err != nil {
+			return linkEnd{}, err
+		}
+	}
+	return linkEnd{sw: sw, port: port}, nil
 }
 
 // neighborOf builds the policy neighbor descriptor for remote as seen
@@ -108,93 +217,6 @@ func (e *Experiment) addRouterPeer(local, remote idr.ASN, ep *netem.Endpoint, ad
 	e.keyOf[ep] = key
 	e.peerEndpoint[local][key] = ep
 	return p, nil
-}
-
-func (e *Experiment) wireRouterRouter(edge topology.Edge, epA, epB *netem.Endpoint, ln addressing.LinkNet) error {
-	a, b := edge.A, edge.B
-	addrA, _ := ln.Addr(a)
-	addrB, _ := ln.Addr(b)
-	pa, err := e.addRouterPeer(a, b, epA, addrA)
-	if err != nil {
-		return err
-	}
-	pb, err := e.addRouterPeer(b, a, epB, addrB)
-	if err != nil {
-		return err
-	}
-	e.onLinkState[linkKey(a, b)] = func(up bool) {
-		if up {
-			pa.TransportUp()
-			pb.TransportUp()
-		} else {
-			pa.TransportDown()
-			pb.TransportDown()
-		}
-	}
-	return nil
-}
-
-func (e *Experiment) wireSwitchSwitch(edge topology.Edge, epA, epB *netem.Endpoint) error {
-	a, b := edge.A, edge.B
-	swA, swB := e.Switches[a], e.Switches[b]
-	portA, err := swA.AddPort(epA.Send)
-	if err != nil {
-		return err
-	}
-	portB, err := swB.AddPort(epB.Send)
-	if err != nil {
-		return err
-	}
-	e.portOf[epA] = portA
-	e.portOf[epB] = portB
-	if err := e.Ctrl.RegisterPort(a, portA, b, true); err != nil {
-		return err
-	}
-	if err := e.Ctrl.RegisterPort(b, portB, a, true); err != nil {
-		return err
-	}
-	e.onLinkState[linkKey(a, b)] = func(up bool) {
-		_ = swA.NotifyPortState(portA, up)
-		_ = swB.NotifyPortState(portB, up)
-	}
-	return nil
-}
-
-// wireSwitchRouter wires an external peering: member m's switch port
-// faces legacy router l, and the controller terminates the eBGP
-// session through the speaker.
-func (e *Experiment) wireSwitchRouter(m, l idr.ASN, epM, epL *netem.Endpoint, ln addressing.LinkNet) error {
-	sw := e.Switches[m]
-	port, err := sw.AddPort(epM.Send)
-	if err != nil {
-		return err
-	}
-	e.portOf[epM] = port
-	if err := e.Ctrl.RegisterPort(m, port, l, false); err != nil {
-		return err
-	}
-	id, err := e.Plan.RouterID(m)
-	if err != nil {
-		return err
-	}
-	addrM, _ := ln.Addr(m)
-	addrL, _ := ln.Addr(l)
-	if err := e.Ctrl.AddExternalPeering(m, port, l, id, addrM); err != nil {
-		return err
-	}
-	pl, err := e.addRouterPeer(l, m, epL, addrL)
-	if err != nil {
-		return err
-	}
-	e.onLinkState[linkKey(m, l)] = func(up bool) {
-		_ = sw.NotifyPortState(port, up)
-		if up {
-			pl.TransportUp()
-		} else {
-			pl.TransportDown()
-		}
-	}
-	return nil
 }
 
 // buildCollector attaches the route collector to every legacy router.
@@ -275,14 +297,8 @@ func (e *Experiment) Start() error {
 		}
 	}
 	startRouter := func(r *bgp.Router) {
-		keys := make([]rib.PeerKey, 0, len(r.Peers()))
-		for k := range r.Peers() {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, k := range keys {
-			p := r.Peers()[k]
-			e.K.Go(p.TransportUp)
+		for _, k := range sortedPeerKeys(r) {
+			e.K.Go(r.Peers()[k].TransportUp)
 		}
 	}
 	for _, asn := range e.ASNs() {

@@ -34,11 +34,6 @@ var HotFunctions = map[string][]string{
 		// The longest-prefix-match data-plane lookup.
 		"Table.Lookup",
 	},
-	"repro/internal/bgp": {
-		// The export hot path: AS-path prepends served from the
-		// per-router interning arena.
-		"attrArena.prepend", "hashPath",
-	},
 	"repro/internal/bgp/wire": {
 		// The UPDATE encode path: one header-reserved buffer.
 		"Marshal", "estimateBody", "estimateUpdate",
