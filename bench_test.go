@@ -12,6 +12,7 @@
 package repro
 
 import (
+	"math/rand"
 	"net/netip"
 	"testing"
 	"time"
@@ -413,6 +414,28 @@ func BenchmarkSnapshotFork(b *testing.B) {
 		fork.Seed = int64(i + 1)
 		if _, err := fork.RestoreWarmup(raw); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTopologyPlacement measures the topology path of the vf
+// figure: build `internet 1000` (topology seed 1, including its
+// Validate), pick 500 cluster members by degree and check
+// connectivity, as experiment.New does.
+func BenchmarkTopologyPlacement(b *testing.B) {
+	spec := lab.TopoSpec{Kind: "internet", N: 1000}
+	place := lab.Placement{Strategy: lab.PlaceDegree, K: 500}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g, err := spec.Build(rand.New(rand.NewSource(1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := place.Select(g); err != nil {
+			b.Fatal(err)
+		}
+		if !g.Connected() {
+			b.Fatal("internet 1000 is not connected")
 		}
 	}
 }

@@ -305,7 +305,7 @@ var BenchAllocBaseline = []string{
 	"WireMarshalUpdate", "WireUnmarshalUpdate",
 	"RIBDecision", "RIBLookup",
 	"TimerReset", "FlowTableLookup", "OFPFlowModRoundTrip",
-	"SingleRun",
+	"SingleRun", "TopologyPlacement",
 }
 
 // BenchGate runs the alloc-sensitive benchmarks (benchtime=1x) and

@@ -3,6 +3,7 @@ package topology
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -84,6 +85,50 @@ func TestCAIDARoundTrip(t *testing.T) {
 			t.Fatalf("edge %v-%v lost or changed", e.A, e.B)
 		}
 	}
+}
+
+// FuzzReadCAIDA feeds arbitrary text to the CAIDA reader: it must
+// return a graph or an error, never panic, and every graph it accepts
+// must survive WriteCAIDA → ReadCAIDA with the same nodes and edges.
+func FuzzReadCAIDA(f *testing.F) {
+	for _, seed := range []string{
+		"# serial 20140801\n# comment | with | bars\n1|2|-1\n2|3|0\n",
+		"1|3|-1|bgp\n3|4|0|mlp\n\n  \n",
+		"1|2|-1\n2|1|0\n1|2|-1\n", // duplicates: first wins
+		"x|2|-1\n",
+		"1|4294967296|0\n", // ASN beyond 32 bits
+		"-1|2|0\n",
+		"1|2|7\n", // unknown relationship code
+		"1|2|banana\n",
+		"5|5|0\n", // self-loop
+		"1|2\n",
+		"0|4294967295| -1 \r\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data string) {
+		g, err := ReadCAIDA(strings.NewReader(data))
+		if (g == nil) == (err == nil) {
+			t.Fatalf("ReadCAIDA returned graph %v and error %v; want exactly one", g != nil, err)
+		}
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteCAIDA(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCAIDA(&buf)
+		if err != nil {
+			t.Fatalf("re-reading WriteCAIDA output: %v\n%s", err, buf.String())
+		}
+		if !reflect.DeepEqual(back.Edges(), g.Edges()) {
+			t.Fatalf("edges changed in round trip: %v -> %v", g.Edges(), back.Edges())
+		}
+		if !reflect.DeepEqual(back.Nodes(), g.Nodes()) {
+			t.Fatalf("nodes changed in round trip: %v -> %v", g.Nodes(), back.Nodes())
+		}
+	})
 }
 
 func TestSynthesizeInternetLike(t *testing.T) {

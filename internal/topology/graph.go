@@ -8,6 +8,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -70,9 +71,15 @@ func (e Edge) Canonical() Edge {
 
 // Graph is an AS-level topology: a set of AS numbers plus annotated
 // edges. The zero value is an empty graph ready to use.
+//
+// edges is the one store of each link's relationship and delay; adj
+// indexes its endpoints so per-AS queries cost O(degree), not O(E).
 type Graph struct {
 	nodes map[idr.ASN]bool
 	edges map[[2]idr.ASN]Edge // keyed by canonical endpoints
+	// adj lists each AS's neighbors in ascending order; it changes
+	// only when an edge key is added or removed.
+	adj map[idr.ASN][]idr.ASN
 }
 
 // New returns an empty graph.
@@ -80,6 +87,7 @@ func New() *Graph {
 	return &Graph{
 		nodes: make(map[idr.ASN]bool),
 		edges: make(map[[2]idr.ASN]Edge),
+		adj:   make(map[idr.ASN][]idr.ASN),
 	}
 }
 
@@ -103,7 +111,12 @@ func (g *Graph) AddEdge(e Edge) error {
 	}
 	g.AddNode(e.A)
 	g.AddNode(e.B)
-	g.edges[edgeKey(e.A, e.B)] = e.Canonical()
+	k := edgeKey(e.A, e.B)
+	if _, ok := g.edges[k]; !ok {
+		g.link(e.A, e.B)
+		g.link(e.B, e.A)
+	}
+	g.edges[k] = e.Canonical()
 	return nil
 }
 
@@ -115,7 +128,28 @@ func (g *Graph) RemoveEdge(a, b idr.ASN) bool {
 		return false
 	}
 	delete(g.edges, k)
+	g.unlink(a, b)
+	g.unlink(b, a)
 	return true
+}
+
+// link adds nb to asn's ascending neighbor list, which must not hold it.
+func (g *Graph) link(asn, nb idr.ASN) {
+	i, _ := slices.BinarySearch(g.adj[asn], nb)
+	g.adj[asn] = slices.Insert(g.adj[asn], i, nb)
+}
+
+// unlink drops nb from asn's neighbor list, which must hold it. An AS
+// left without links loses its entry, so Neighbors returns nil for it
+// as for an AS that never had one.
+func (g *Graph) unlink(asn, nb idr.ASN) {
+	s := g.adj[asn]
+	if len(s) == 1 {
+		delete(g.adj, asn)
+		return
+	}
+	i, _ := slices.BinarySearch(s, nb)
+	g.adj[asn] = slices.Delete(s, i, i+1)
 }
 
 // HasNode reports whether asn is in the graph.
@@ -165,70 +199,40 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// Neighbors returns the ASes adjacent to asn in ascending order.
+// Neighbors returns the ASes adjacent to asn in ascending order. The
+// slice is the caller's to keep.
 func (g *Graph) Neighbors(asn idr.ASN) []idr.ASN {
-	var out []idr.ASN
-	for _, e := range g.edges {
-		if e.A == asn {
-			out = append(out, e.B)
-		} else if e.B == asn {
-			out = append(out, e.A)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Clone(g.adj[asn])
 }
 
 // Degree returns the number of links attached to asn.
-func (g *Graph) Degree(asn idr.ASN) int {
-	n := 0
-	for _, e := range g.edges {
-		if e.A == asn || e.B == asn {
-			n++
-		}
-	}
-	return n
-}
+func (g *Graph) Degree(asn idr.ASN) int { return len(g.adj[asn]) }
 
 // Providers returns the providers of asn (ASes on the provider side of
 // a P2C edge whose customer side is asn), ascending.
 func (g *Graph) Providers(asn idr.ASN) []idr.ASN {
-	var out []idr.ASN
-	for _, e := range g.edges {
-		if e.Rel == P2C && e.B == asn {
-			out = append(out, e.A)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return g.neighborsOfKind(asn, KindProvider)
 }
 
 // Customers returns the customers of asn, ascending.
 func (g *Graph) Customers(asn idr.ASN) []idr.ASN {
-	var out []idr.ASN
-	for _, e := range g.edges {
-		if e.Rel == P2C && e.A == asn {
-			out = append(out, e.B)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return g.neighborsOfKind(asn, KindCustomer)
 }
 
 // Peers returns the settlement-free peers of asn, ascending.
 func (g *Graph) Peers(asn idr.ASN) []idr.ASN {
+	return g.neighborsOfKind(asn, KindPeer)
+}
+
+// neighborsOfKind filters asn's sorted neighbor list down to those
+// that are kind to asn, so the result is ascending too.
+func (g *Graph) neighborsOfKind(asn idr.ASN, kind NeighborKind) []idr.ASN {
 	var out []idr.ASN
-	for _, e := range g.edges {
-		if e.Rel != P2P {
-			continue
-		}
-		if e.A == asn {
-			out = append(out, e.B)
-		} else if e.B == asn {
-			out = append(out, e.A)
+	for _, nb := range g.adj[asn] {
+		if k, _ := g.RelationshipOf(asn, nb); k == kind {
+			out = append(out, nb)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -312,6 +316,10 @@ func (g *Graph) Clone() *Graph {
 	}
 	for k, e := range g.edges {
 		c.edges[k] = e
+	}
+	//lint:maporder each key's slice is copied independently, so visiting order cannot matter
+	for n, nbs := range g.adj {
+		c.adj[n] = slices.Clone(nbs)
 	}
 	return c
 }
