@@ -31,7 +31,9 @@
 //	GET  /v1/jobs/{id}/spec      the canonical spec bytes
 //	GET  /v1/jobs/{id}/result    ?format=table|csv|json|markdown
 //	GET  /v1/jobs/{id}/manifest  the sealed manifest from the store
-//	GET  /v1/jobs/{id}/events    SSE event log (?from=<seq> resumes)
+//	GET  /v1/jobs/{id}/events    SSE event log (?from=<seq> resumes;
+//	                             503 past labd.MaxSubscribersPerJob
+//	                             open streams on the job)
 //
 // On SIGINT/SIGTERM the daemon stops accepting connections, drains
 // in-flight runs (their records flush to the store and a partial

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"container/heap"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"repro/internal/bgp/wire"
@@ -10,65 +12,106 @@ import (
 	"repro/internal/sdn/ofp"
 )
 
-// subClusters computes the connected components of the switch graph
-// over links that are up — the paper's disjoint sub-clusters. The
-// result maps each member to a component id.
-func (c *Controller) subClusters() map[idr.ASN]int {
-	comp := make(map[idr.ASN]int, len(c.members))
+// switchGraph is the compiled switch graph every recomputation reads:
+// the members, their up intra-cluster links, the sub-cluster each one
+// belongs to, and the external peering keys, all in the deterministic
+// orders the route computation emits in. It is built on first use and
+// dropped by every mutator that changes membership, a port's
+// registration, intra-cluster flag or operational state, or the set of
+// peerings, so one switch-graph change costs one build however many
+// prefixes recompute afterwards.
+type switchGraph struct {
+	// members lists the cluster members ascending.
+	members []idr.ASN
+	// links lists each member's up intra-cluster links toward current
+	// members, ascending by neighbor, one per neighbor through the
+	// lowest-numbered up port. A port still flagged intra-cluster
+	// toward an AS that has just left the cluster (mid MigrateOut,
+	// before SetPortMembership re-flags it) leads nowhere.
+	links map[idr.ASN][]memberLink
+	// comp maps each member to its sub-cluster: the connected
+	// components of the links, numbered from 1 in breadth-first order
+	// from the lowest unvisited member.
+	comp map[idr.ASN]int
+	// sessKeys lists the external peering keys in (Border, Port) order.
+	sessKeys []SessKey
+}
+
+// memberLink is one up intra-cluster link: the neighbor member and the
+// port leading to it.
+type memberLink struct {
+	to   idr.ASN
+	port uint32
+}
+
+// graph returns the compiled switch graph, building it if a mutator
+// dropped it (c.sg = nil) since the last read.
+func (c *Controller) graph() *switchGraph {
+	if c.sg != nil {
+		return c.sg
+	}
+	g := &switchGraph{
+		members:  make([]idr.ASN, 0, len(c.members)),
+		links:    make(map[idr.ASN][]memberLink, len(c.members)),
+		comp:     make(map[idr.ASN]int, len(c.members)),
+		sessKeys: sortedSessKeys(c.sessions),
+	}
+	for a := range c.members {
+		g.members = append(g.members, a)
+	}
+	slices.Sort(g.members)
+	for _, asn := range g.members {
+		var ls []memberLink
+		for port, pi := range c.members[asn].ports {
+			if _, member := c.members[pi.neighbor]; pi.isMember && pi.up && member {
+				ls = append(ls, memberLink{to: pi.neighbor, port: port})
+			}
+		}
+		slices.SortFunc(ls, func(a, b memberLink) int {
+			return cmp.Or(cmp.Compare(a.to, b.to), cmp.Compare(a.port, b.port))
+		})
+		// Parallel links: keep the lowest port toward each neighbor.
+		g.links[asn] = slices.CompactFunc(ls, func(a, b memberLink) bool { return a.to == b.to })
+	}
 	id := 0
-	for _, start := range c.Members() {
-		if _, seen := comp[start]; seen {
+	var queue []idr.ASN
+	for _, start := range g.members {
+		if _, seen := g.comp[start]; seen {
 			continue
 		}
 		id++
-		queue := []idr.ASN{start}
-		comp[start] = id
+		g.comp[start] = id
+		queue = append(queue[:0], start)
 		for len(queue) > 0 {
 			cur := queue[0]
 			queue = queue[1:]
-			for _, nb := range c.upMemberNeighbors(cur) {
-				if _, seen := comp[nb]; !seen {
-					comp[nb] = id
-					queue = append(queue, nb)
+			for _, l := range g.links[cur] {
+				if _, seen := g.comp[l.to]; !seen {
+					g.comp[l.to] = id
+					queue = append(queue, l.to)
 				}
 			}
 		}
 	}
-	return comp
+	c.sg = g
+	return g
 }
 
-// upMemberNeighbors lists the members adjacent to asn over up
-// intra-cluster links, sorted for determinism. A port still flagged
-// intra-cluster toward an AS that has just left the cluster (mid
-// MigrateOut, before SetPortMembership re-flags it) leads nowhere.
-func (c *Controller) upMemberNeighbors(asn idr.ASN) []idr.ASN {
-	m := c.members[asn]
-	var out []idr.ASN
-	for _, pi := range m.ports {
-		if _, member := c.members[pi.neighbor]; pi.isMember && pi.up && member {
-			out = append(out, pi.neighbor)
-		}
+// portTo returns member asn's up port leading to the neighbor member,
+// the lowest-numbered when parallel links exist.
+func (g *switchGraph) portTo(asn, neighbor idr.ASN) (uint32, bool) {
+	ls := g.links[asn]
+	i, found := slices.BinarySearchFunc(ls, neighbor, func(l memberLink, t idr.ASN) int { return cmp.Compare(l.to, t) })
+	if !found {
+		return 0, false
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return ls[i].port, true
 }
 
-// portToMember returns member asn's up port leading to the neighbor
-// member, choosing the lowest-numbered when parallel links exist.
-func (c *Controller) portToMember(asn, neighbor idr.ASN) (uint32, bool) {
-	m := c.members[asn]
-	best := uint32(0)
-	found := false
-	for port, pi := range m.ports {
-		if pi.isMember && pi.up && pi.neighbor == neighbor {
-			if !found || port < best {
-				best = port
-				found = true
-			}
-		}
-	}
-	return best, found
-}
+// subClusters maps each member to its sub-cluster id — the paper's
+// disjoint sub-clusters, the connected components of the switch graph
+// over links that are up.
+func (c *Controller) subClusters() map[idr.ASN]int { return c.graph().comp }
 
 // candidate is one usable egress for a prefix after the per-prefix AS
 // topology graph transformation.
@@ -85,30 +128,37 @@ type candidate struct {
 // loop. Paths through members of *other* sub-clusters remain usable
 // (that is how disjoint sub-clusters reach each other over the legacy
 // Internet).
-func (c *Controller) candidatesFor(prefix netip.Prefix, comp map[idr.ASN]int) []candidate {
+func (c *Controller) candidatesFor(prefix netip.Prefix) []candidate {
 	routes := c.extRoutes[prefix]
 	if len(routes) == 0 {
 		return nil
 	}
+	comp := c.subClusters()
 	var out []candidate
 	for _, k := range sortedSessKeys(routes) {
 		attrs := routes[k]
 		if !c.sessions[k].established {
 			continue
 		}
-		reenters := false
-		for other := range c.members {
-			if comp[other] == comp[k.Border] && attrs.ASPath.Contains(other) {
-				reenters = true
-				break
-			}
-		}
-		if reenters {
+		if crossesComponent(attrs.ASPath, comp, comp[k.Border]) {
 			continue
 		}
 		out = append(out, candidate{key: k, attrs: attrs, cost: 1 + attrs.ASPath.Length()})
 	}
 	return out
+}
+
+// crossesComponent reports whether path contains a member of
+// sub-cluster id, walking the path once.
+func crossesComponent(path wire.ASPath, comp map[idr.ASN]int, id int) bool {
+	for _, seg := range path {
+		for _, a := range seg.ASNs {
+			if got, member := comp[a]; member && got == id {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // routingResult is the outcome of Dijkstra for one prefix.
@@ -157,7 +207,7 @@ func (p *pq) Pop() any {
 // (cluster-originated) or toward the cheapest egress candidate.
 // Intra-cluster hops cost 1; an egress costs 1 + external path length,
 // making the total comparable to an AS-path length as BGP would see it.
-func (c *Controller) dijkstra(prefix netip.Prefix, comp map[idr.ASN]int) routingResult {
+func (c *Controller) dijkstra(prefix netip.Prefix) routingResult {
 	res := routingResult{
 		dist:   make(map[idr.ASN]int),
 		next:   make(map[idr.ASN]idr.ASN),
@@ -176,7 +226,7 @@ func (c *Controller) dijkstra(prefix netip.Prefix, comp map[idr.ASN]int) routing
 	// legacy world (design goal §2: an intra-cluster link failure must
 	// not isolate the controlled ASes).
 	best := make(map[idr.ASN]candidate)
-	for _, cand := range c.candidatesFor(prefix, comp) {
+	for _, cand := range c.candidatesFor(prefix) {
 		cur, ok := best[cand.key.Border]
 		if !ok || cand.cost < cur.cost {
 			best[cand.key.Border] = cand
@@ -196,6 +246,7 @@ func (c *Controller) dijkstra(prefix netip.Prefix, comp map[idr.ASN]int) routing
 		res.egress[b] = cand
 		heap.Push(&frontier, pqItem{asn: b, dist: cand.cost})
 	}
+	links := c.graph().links
 	settled := make(map[idr.ASN]bool)
 	for frontier.Len() > 0 {
 		it := heap.Pop(&frontier).(pqItem)
@@ -203,7 +254,8 @@ func (c *Controller) dijkstra(prefix netip.Prefix, comp map[idr.ASN]int) routing
 			continue
 		}
 		settled[it.asn] = true
-		for _, nb := range c.upMemberNeighbors(it.asn) {
+		for _, l := range links[it.asn] {
+			nb := l.to
 			nd := it.dist + 1
 			cur, ok := res.dist[nb]
 			if !ok || nd < cur {
@@ -254,8 +306,7 @@ func prependSequence(members []idr.ASN, external wire.ASPath) wire.ASPath {
 // recomputePrefix recompiles flow rules and external announcements for
 // one prefix — the per-prefix half of the paper's route selection.
 func (c *Controller) recomputePrefix(prefix netip.Prefix) {
-	comp := c.subClusters()
-	res := c.dijkstra(prefix, comp)
+	res := c.dijkstra(prefix)
 	c.pushFlows(prefix, res)
 	c.updateAnnouncements(prefix, res)
 }
@@ -268,8 +319,7 @@ func (c *Controller) PathFrom(m idr.ASN, prefix netip.Prefix) (wire.ASPath, bool
 	if _, isMember := c.members[m]; !isMember {
 		return nil, false
 	}
-	comp := c.subClusters()
-	res := c.dijkstra(prefix, comp)
+	res := c.dijkstra(prefix)
 	internal, ok := res.forwardingPath(m)
 	if !ok {
 		return nil, false
@@ -292,7 +342,8 @@ const flowPriority = 100
 
 // pushFlows programs every member's flow entry for prefix.
 func (c *Controller) pushFlows(prefix netip.Prefix, res routingResult) {
-	for _, asn := range c.Members() {
+	g := c.graph()
+	for _, asn := range g.members {
 		m := c.members[asn]
 		var mod ofp.FlowMod
 		switch {
@@ -311,7 +362,7 @@ func (c *Controller) pushFlows(prefix netip.Prefix, res routingResult) {
 				mod = ofp.FlowMod{Command: ofp.FlowDelete, Match: prefix}
 				break
 			}
-			port, havePort := c.portToMember(asn, nxt)
+			port, havePort := g.portTo(asn, nxt)
 			if !havePort {
 				mod = ofp.FlowMod{Command: ofp.FlowDelete, Match: prefix}
 				break

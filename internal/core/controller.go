@@ -26,6 +26,7 @@ package core
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -82,6 +83,10 @@ type Controller struct {
 	// owned: cluster-originated prefixes and their owner member.
 	owned map[netip.Prefix]idr.ASN
 
+	// sg is the compiled switch graph; nil until read after a
+	// switch-graph or peering change.
+	sg *switchGraph
+
 	dirty         map[netip.Prefix]bool
 	allDirty      bool
 	debounceTimer sim.Timer
@@ -133,14 +138,7 @@ func New(cfg Config) (*Controller, error) {
 func (c *Controller) Stats() Stats { return c.stats }
 
 // Members returns the cluster membership, sorted.
-func (c *Controller) Members() []idr.ASN {
-	out := make([]idr.ASN, 0, len(c.members))
-	for a := range c.members {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (c *Controller) Members() []idr.ASN { return slices.Clone(c.graph().members) }
 
 // IsMember reports cluster membership.
 func (c *Controller) IsMember(asn idr.ASN) bool {
@@ -163,6 +161,7 @@ func (c *Controller) AddMember(asn idr.ASN, send func([]byte) error) error {
 	}
 	m := &member{asn: asn, send: send, ports: make(map[uint32]*portInfo)}
 	c.members[asn] = m
+	c.sg = nil
 	if c.started {
 		return c.greet(m)
 	}
@@ -185,11 +184,15 @@ func (c *Controller) RemoveMember(asn idr.ASN) error {
 		es := c.sessions[key]
 		es.sess.TransportDown()
 		delete(c.sessions, key)
+		c.sg = nil
 	}
 	for _, pi := range m.ports {
 		pi.sess = nil
 	}
 	delete(c.members, asn)
+	// Drop the graph before markAllDirty: with debouncing disabled it
+	// recomputes right here.
+	c.sg = nil
 	c.markAllDirty()
 	return nil
 }
@@ -212,6 +215,7 @@ func (c *Controller) RemovePeering(memberASN idr.ASN, port uint32) error {
 	}
 	pi.sess.sess.TransportDown()
 	delete(c.sessions, pi.sess.key)
+	c.sg = nil
 	pi.sess = nil
 	return nil
 }
@@ -240,6 +244,7 @@ func (c *Controller) SetPortMembership(memberASN idr.ASN, port uint32, isMember 
 		}
 	}
 	pi.isMember = isMember
+	c.sg = nil
 	c.markAllDirty()
 	return nil
 }
@@ -269,6 +274,7 @@ func (c *Controller) RegisterPort(memberASN idr.ASN, port uint32, neighbor idr.A
 		}
 	}
 	m.ports[port] = &portInfo{neighbor: neighbor, isMember: isMember, up: true}
+	c.sg = nil
 	return nil
 }
 
@@ -312,6 +318,7 @@ func (c *Controller) AddExternalPeering(borderASN idr.ASN, port uint32, remoteAS
 	es.sess = sess
 	pi.sess = es
 	c.sessions[key] = es
+	c.sg = nil
 	// A peering added after Start (a mid-run migration) comes up
 	// immediately; at build time Start brings it up.
 	if c.started && pi.up {
@@ -370,8 +377,9 @@ func (c *Controller) Start() error {
 	return nil
 }
 
-// sessionKeys returns the external peering keys in sorted order.
-func (c *Controller) sessionKeys() []SessKey { return sortedSessKeys(c.sessions) }
+// sessionKeys returns the external peering keys in sorted order. The
+// slice belongs to the switch graph; callers must not modify it.
+func (c *Controller) sessionKeys() []SessKey { return c.graph().sessKeys }
 
 // sortedSessKeys returns m's keys ordered by (Border, Port).
 func sortedSessKeys[V any](m map[SessKey]V) []SessKey {
@@ -455,6 +463,7 @@ func (c *Controller) handlePortStatus(m *member, ps ofp.PortStatus) {
 		return
 	}
 	pi.up = ps.Up
+	c.sg = nil
 	if pi.sess != nil {
 		if ps.Up {
 			pi.sess.sess.TransportUp()

@@ -85,6 +85,13 @@ func testCluster(t *testing.T) (*Controller, *sim.Kernel, map[idr.ASN]*capture) 
 	return c, k, caps
 }
 
+// setPortUp reports a member port's operational change to the
+// controller the way its switch does, through a PortStatus message.
+func setPortUp(t *testing.T, c *Controller, m idr.ASN, port uint32, up bool) {
+	t.Helper()
+	c.handlePortStatus(c.members[m], ofp.PortStatus{Port: port, Up: up})
+}
+
 var testPrefix = netip.MustParsePrefix("10.0.2.0/24")
 
 func extAttrs(path ...idr.ASN) wire.PathAttrs {
@@ -102,8 +109,8 @@ func TestSubClusters(t *testing.T) {
 		t.Fatalf("connected cluster should be one component: %v", comp)
 	}
 	// Fail 12<->13: splits into {11,12} and {13}.
-	c.members[12].ports[2].up = false
-	c.members[13].ports[1].up = false
+	setPortUp(t, c, 12, 2, false)
+	setPortUp(t, c, 13, 1, false)
 	comp = c.subClusters()
 	if comp[11] != comp[12] {
 		t.Fatal("11 and 12 should stay together")
@@ -135,7 +142,7 @@ func TestDijkstraExternalPrefix(t *testing.T) {
 	c.onRoute(SessKey{Border: 11, Port: 2}, speaker.RouteEvent{
 		Prefix: testPrefix, Attrs: extAttrs(2),
 	})
-	res := c.dijkstra(testPrefix, c.subClusters())
+	res := c.dijkstra(testPrefix)
 	// 11 exits directly: cost 1 + len([2]) = 2.
 	if res.dist[11] != 2 {
 		t.Fatalf("dist[11] = %d, want 2", res.dist[11])
@@ -164,7 +171,7 @@ func TestDijkstraPrefersShorterExternalPath(t *testing.T) {
 	c.onRoute(SessKey{Border: 13, Port: 2}, speaker.RouteEvent{
 		Prefix: testPrefix, Attrs: extAttrs(3),
 	})
-	res := c.dijkstra(testPrefix, c.subClusters())
+	res := c.dijkstra(testPrefix)
 	// 12 should prefer egress via 13 (cost 2+1=3) over 11 (cost 5+1).
 	if res.next[12] != 13 {
 		t.Fatalf("next[12] = %v, want 13", res.next[12])
@@ -185,19 +192,19 @@ func TestCandidateLoopAvoidance(t *testing.T) {
 	c.onRoute(SessKey{Border: 11, Port: 2}, speaker.RouteEvent{
 		Prefix: testPrefix, Attrs: extAttrs(2, 12, 5),
 	})
-	cands := c.candidatesFor(testPrefix, c.subClusters())
+	cands := c.candidatesFor(testPrefix)
 	if len(cands) != 0 {
 		t.Fatalf("re-entering path must be filtered, got %v", cands)
 	}
 	// After a partition isolating 13, a path through 13 is usable
 	// from component {11,12} (sub-clusters reach each other over the
 	// legacy world).
-	c.members[12].ports[2].up = false
-	c.members[13].ports[1].up = false
+	setPortUp(t, c, 12, 2, false)
+	setPortUp(t, c, 13, 1, false)
 	c.onRoute(SessKey{Border: 11, Port: 2}, speaker.RouteEvent{
 		Prefix: testPrefix, Attrs: extAttrs(2, 13, 5),
 	})
-	cands = c.candidatesFor(testPrefix, c.subClusters())
+	cands = c.candidatesFor(testPrefix)
 	if len(cands) != 1 {
 		t.Fatalf("cross-sub-cluster path should be usable, got %v", cands)
 	}
@@ -209,7 +216,7 @@ func TestDijkstraOwnedPrefix(t *testing.T) {
 	if err := c.OriginatePrefix(13, owned); err != nil {
 		t.Fatal(err)
 	}
-	res := c.dijkstra(owned, c.subClusters())
+	res := c.dijkstra(owned)
 	if res.owner != 13 || res.dist[13] != 0 {
 		t.Fatalf("owner routing wrong: %+v", res)
 	}
@@ -321,7 +328,7 @@ func TestAnnouncementForTransparency(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	res := c.dijkstra(testPrefix, c.subClusters())
+	res := c.dijkstra(testPrefix)
 	k13 := SessKey{Border: 13, Port: 2}
 	attrs, ok := c.announcementFor(k13, c.sessions[k13], testPrefix, res)
 	if !ok {
@@ -347,7 +354,7 @@ func TestAnnouncementSkipsReceiverLoop(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	res := c.dijkstra(testPrefix, c.subClusters())
+	res := c.dijkstra(testPrefix)
 	k13 := SessKey{Border: 13, Port: 2}
 	if _, ok := c.announcementFor(k13, c.sessions[k13], testPrefix, res); ok {
 		t.Fatal("announcement containing the receiver must be skipped")
@@ -363,7 +370,7 @@ func TestOwnedPrefixAnnouncement(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	res := c.dijkstra(owned, c.subClusters())
+	res := c.dijkstra(owned)
 	k11 := SessKey{Border: 11, Port: 2}
 	attrs, ok := c.announcementFor(k11, c.sessions[k11], owned, res)
 	if !ok {
@@ -379,7 +386,7 @@ func TestOwnedPrefixAnnouncement(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	res = c.dijkstra(owned, c.subClusters())
+	res = c.dijkstra(owned)
 	if _, ok := c.announcementFor(k11, c.sessions[k11], owned, res); ok {
 		t.Fatal("withdrawn prefix still announced")
 	}

@@ -166,6 +166,7 @@ func (c *Controller) RestoreState(st ControllerState) ([]sim.TimerArm, error) {
 	c.started = st.Started
 	c.xid = st.Xid
 	c.stats = st.Stats
+	c.sg = nil
 	for _, pf := range st.Ports {
 		m, ok := c.members[pf.Member]
 		if !ok {

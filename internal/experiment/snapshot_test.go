@@ -74,19 +74,35 @@ func jitterTimers() bgp.Timers {
 // the virtual clock must match exactly. Kernel event counts and netem
 // delivery counters are deliberately NOT compared: the snapshot drops
 // in-flight keepalive frames (behaviorally invisible at quiescence).
+// A case with fail set takes that link down after warm-up and settles
+// before the snapshot.
 func TestSnapshotRoundTripIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
+		fail [2]idr.ASN
 	}{
-		{"pure-bgp-ring", Config{Seed: 7, Graph: mustGraph(topology.Ring(5)), Timers: jitterTimers()}},
-		{"hybrid-clique", Config{Seed: 11, Graph: mustGraph(topology.Clique(5)), Timers: jitterTimers(),
+		{name: "pure-bgp-ring", cfg: Config{Seed: 7, Graph: mustGraph(topology.Ring(5)), Timers: jitterTimers()}},
+		{name: "hybrid-clique", cfg: Config{Seed: 11, Graph: mustGraph(topology.Clique(5)), Timers: jitterTimers(),
 			SDNMembers: []idr.ASN{2, 3}}},
-		{"lossy-collector", Config{Seed: 23, Graph: mustGraph(topology.Line(4)), Timers: jitterTimers(),
+		// The controller's only intra-cluster link is down in the
+		// snapshot, splitting the cluster into two sub-clusters that the
+		// restored controller must see from its first recomputation.
+		{name: "hybrid-partitioned", cfg: Config{Seed: 13, Graph: mustGraph(topology.Clique(5)), Timers: jitterTimers(),
+			SDNMembers: []idr.ASN{2, 3}}, fail: [2]idr.ASN{2, 3}},
+		{name: "lossy-collector", cfg: Config{Seed: 23, Graph: mustGraph(topology.Line(4)), Timers: jitterTimers(),
 			LinkLoss: 0.05, LinkJitter: 5 * time.Millisecond, WithCollector: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e1 := warmedUp(t, tc.cfg)
+			if tc.fail != [2]idr.ASN{} {
+				if err := e1.FailLink(tc.fail[0], tc.fail[1]); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := e1.WaitConverged(30 * time.Minute); err != nil {
+					t.Fatal(err)
+				}
+			}
 
 			snap, err := e1.Snapshot()
 			if err != nil {

@@ -61,6 +61,12 @@ type SubmitResponse struct {
 // it is decoded into a job.
 const MaxSubmitBytes = 1 << 20
 
+// MaxSubscribersPerJob bounds the concurrent event streams on one job.
+// Each open stream holds a goroutine and a connection for the job's
+// lifetime; a further GET /v1/jobs/{id}/events is refused with 503
+// until one of them ends.
+const MaxSubscribersPerJob = 64
+
 // errorResponse is the uniform error body.
 type errorResponse struct {
 	Error string `json:"error"`
@@ -214,6 +220,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 		}
 		from = n
 	}
+	if !j.acquireSubscriber() {
+		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("labd: job %s already has %d event streams", j.ID(), MaxSubscribersPerJob))
+		return
+	}
+	defer j.releaseSubscriber()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)

@@ -132,6 +132,8 @@ type Job struct {
 	failedRuns int
 	res        *lab.SweepResult
 	stats      *RunStats
+	// subscribers counts the open event streams (handleEvents).
+	subscribers int
 }
 
 // newJob builds a queued job and seeds its event log with the queued
@@ -290,6 +292,25 @@ func (j *Job) addClient(client string) {
 	j.clients = append(j.clients, "")
 	copy(j.clients[i+1:], j.clients[i:])
 	j.clients[i] = client
+}
+
+// acquireSubscriber reserves one of the job's MaxSubscribersPerJob
+// event-stream slots, reporting false when all are taken.
+func (j *Job) acquireSubscriber() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.subscribers >= MaxSubscribersPerJob {
+		return false
+	}
+	j.subscribers++
+	return true
+}
+
+// releaseSubscriber frees the stream slot acquireSubscriber reserved.
+func (j *Job) releaseSubscriber() {
+	j.mu.Lock()
+	j.subscribers--
+	j.mu.Unlock()
 }
 
 // Subscribe replays the job's event log from sequence after+1 onward

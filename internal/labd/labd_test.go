@@ -339,6 +339,62 @@ func TestSSEResumeFrom(t *testing.T) {
 	}
 }
 
+// TestSSESubscriberCap fills a job's MaxSubscribersPerJob event-stream
+// slots, expects the next subscriber to get 503, and expects a
+// subscriber to be served again once one stream has closed.
+func TestSSESubscriberCap(t *testing.T) {
+	srv, _ := newTestServer(t)
+	url, shutdown := serve(t, srv)
+	defer shutdown()
+	spec, err := testLabSweep().Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := postJSON(t, url, SubmitRequest{Client: "alice", Spec: spec})
+	events := url + "/v1/jobs/" + r.Job.ID + "/events"
+	// The server is never started: the job stays queued, so every
+	// stream stays open until its client closes it.
+	var open []*http.Response
+	defer func() {
+		for _, resp := range open {
+			resp.Body.Close()
+		}
+	}()
+	get := func() *http.Response {
+		t.Helper()
+		resp, err := http.Get(events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode == http.StatusOK {
+			open = append(open, resp)
+		} else {
+			resp.Body.Close()
+		}
+		return resp
+	}
+	for i := 0; i < MaxSubscribersPerJob; i++ {
+		if resp := get(); resp.StatusCode != http.StatusOK {
+			t.Fatalf("stream %d: status %d", i, resp.StatusCode)
+		}
+	}
+	if resp := get(); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("stream past the cap: status %d, want 503", resp.StatusCode)
+	}
+	open[0].Body.Close()
+	open = open[1:]
+	// The server sees the closed connection asynchronously.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		resp := get()
+		if resp.StatusCode == http.StatusOK {
+			break
+		}
+		if resp.StatusCode != http.StatusServiceUnavailable || time.Now().After(deadline) {
+			t.Fatalf("stream after one closed: status %d", resp.StatusCode)
+		}
+	}
+}
+
 // TestPresetSubmission pins the preset bridge: submitting a preset
 // with options produces the same job identity as submitting the
 // equivalent locally-built canonical spec — the registry over the API

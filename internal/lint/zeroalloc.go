@@ -50,6 +50,11 @@ var HotFunctions = map[string][]string{
 		"Endpoint.Send", "Endpoint.SendUnreliable", "Endpoint.departAt",
 		"Link.lossPenalty", "Link.rand",
 	},
+	"repro/internal/core": {
+		// The per-route re-entry test and the per-member port lookup
+		// of every recomputation, both reading the compiled switch graph.
+		"crossesComponent", "switchGraph.portTo",
+	},
 }
 
 // escapeBaselineFile is the committed allowance, relative to the
